@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"repro/internal/hoare"
@@ -30,6 +31,7 @@ type explorer struct {
 	g      *hoare.Graph
 	res    *FuncResult
 	bag    []workItem
+	vars   *pred.JoinVars  // join variables, resolved once per (vertex, part)
 	seen   map[string]bool // NoJoin ablation: vertexID+stateKey dedup
 	fatal  bool
 	t0     time.Time
@@ -44,6 +46,7 @@ func (l *Lifter) explore(ctx context.Context, addr uint64, name string) *FuncRes
 	e := &explorer{
 		l: l, ctx: ctx, tr: l.Cfg.Sem.Tracer,
 		g: g, res: res,
+		vars:   pred.NewJoinVars(),
 		seen:   map[string]bool{},
 		t0:     time.Now(),
 		before: map[string]bool{},
@@ -126,23 +129,18 @@ func (e *explorer) fail(st Status, reason string) {
 	e.fatal = true
 }
 
-// vertexID keys a vertex: the instruction address plus, unless the
-// ablation disables it, the code-pointer signature of the state (states
-// holding different immediate pointers into the text section are
-// incompatible and kept apart; Section 4).
+// vertexID keys a vertex: the instruction address in hex plus, unless the
+// ablation disables it, the code-pointer signature of the state, one
+// "/part" per code pointer (states holding different immediate pointers
+// into the text section are incompatible and kept apart; Section 4).
 func (l *Lifter) vertexID(rip uint64, st *sem.State) hoare.VertexID {
-	id := fmt.Sprintf("%x", rip)
-	if l.Cfg.JoinCodePointers {
-		return hoare.VertexID(id)
-	}
-	lo, hi := l.Img.TextRange()
-	parts := st.Pred.CodePointerParts(lo, hi)
-	if len(parts) == 0 {
-		return hoare.VertexID(id)
-	}
-	sort.Strings(parts)
-	for _, p := range parts {
-		id += "/" + p
+	var buf [32]byte
+	id := strconv.AppendUint(buf[:0], rip, 16)
+	if !l.Cfg.JoinCodePointers {
+		lo, hi := l.Img.TextRange()
+		for _, p := range st.Pred.CodePointerParts(lo, hi) {
+			id = append(append(id, '/'), p...)
+		}
 	}
 	return hoare.VertexID(id)
 }
@@ -157,7 +155,7 @@ func (e *explorer) exploreOne(item workItem) {
 	switch {
 	case exists && !e.l.Cfg.NoJoin:
 		joined := &sem.State{
-			Pred: pred.Join(item.st.Pred, v.State.Pred, string(vid)),
+			Pred: pred.Join(item.st.Pred, v.State.Pred, string(vid), e.vars),
 			Mem:  memmodel.Join(item.st.Mem, v.State.Mem),
 		}
 		if joined.Same(v.State) {

@@ -88,7 +88,8 @@ func (o Op) String() string {
 // the constructors are pointer-identical, each node carries a precomputed
 // structural fingerprint, and the canonical Key and String renderings are
 // computed at most once per node (atomically, since interned nodes are
-// shared across the pipeline's lift workers).
+// shared across the pipeline's lift workers). A sum's linear normal form
+// (ToLinear) is cached the same way.
 type Expr struct {
 	kind Kind
 	word uint64
@@ -100,6 +101,7 @@ type Expr struct {
 
 	key atomic.Pointer[string] // canonical key, built at most once
 	str atomic.Pointer[string] // String rendering, built at most once
+	lin atomic.Pointer[Linear] // linear form of a sum/neg/product, built at most once
 }
 
 // Word returns the expression denoting the 64-bit constant w.

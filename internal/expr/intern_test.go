@@ -98,7 +98,31 @@ func TestTableStats(t *testing.T) {
 	}
 }
 
-// FuzzInternCanonical is the tentpole's canonicality oracle: for
+// genExpr is the term generator of FuzzInternCanonical: eight
+// constructor-built shapes over one symbolic base, selected by sel.
+func genExpr(w uint64, sel uint8, name string) *Expr {
+	base := V(Var(name))
+	switch sel % 8 {
+	case 0:
+		return Word(w)
+	case 1:
+		return base
+	case 2:
+		return Add(base, Word(w))
+	case 3:
+		return Deref(Add(base, Word(w)), 8)
+	case 4:
+		return Mul(Word(w|2), base)
+	case 5:
+		return And(base, Word(w))
+	case 6:
+		return SExt(Xor(base, Word(w)), 4)
+	default:
+		return Deref(Sub(base, Word(w%512)), 4)
+	}
+}
+
+// FuzzInternCanonical is the canonicality oracle: for
 // constructor-built pairs, structural equality (the pre-interning
 // definition), pointer identity and fingerprint equality must all coincide,
 // and the canonical renderings must agree with structural equality.
@@ -107,29 +131,8 @@ func FuzzInternCanonical(f *testing.F) {
 	f.Add(uint64(0x28), uint64(0x28), uint8(3), uint8(3), "v17", "v17")
 	f.Add(^uint64(0), uint64(1<<40), uint8(7), uint8(2), "a", "b")
 	f.Fuzz(func(t *testing.T, w1, w2 uint64, sel1, sel2 uint8, n1, n2 string) {
-		build := func(w uint64, sel uint8, name string) *Expr {
-			base := V(Var(name))
-			switch sel % 8 {
-			case 0:
-				return Word(w)
-			case 1:
-				return base
-			case 2:
-				return Add(base, Word(w))
-			case 3:
-				return Deref(Add(base, Word(w)), 8)
-			case 4:
-				return Mul(Word(w|2), base)
-			case 5:
-				return And(base, Word(w))
-			case 6:
-				return SExt(Xor(base, Word(w)), 4)
-			default:
-				return Deref(Sub(base, Word(w%512)), 4)
-			}
-		}
-		a := build(w1, sel1, n1)
-		b := build(w2, sel2, n2)
+		a := genExpr(w1, sel1, n1)
+		b := genExpr(w2, sel2, n2)
 		structural := structuralEq(a, b)
 		if (a == b) != structural {
 			t.Fatalf("pointer identity %v != structural equality %v\na=%s\nb=%s",

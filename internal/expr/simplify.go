@@ -9,24 +9,25 @@ package expr
 
 // Add returns the canonical sum of the operands.
 func Add(args ...*Expr) *Expr {
-	l := &Linear{}
+	var l linBuilder
 	for _, a := range args {
-		linearInto(l, a, 1)
+		l.addExpr(a, 1)
 	}
 	return l.Expr()
 }
 
 // Sub returns a - b.
 func Sub(a, b *Expr) *Expr {
-	l := ToLinear(a)
-	linearInto(l, b, ^uint64(0)) // scale -1
+	var l linBuilder
+	l.addExpr(a, 1)
+	l.addExpr(b, ^uint64(0)) // scale -1
 	return l.Expr()
 }
 
 // Neg returns two's complement negation of a.
 func Neg(a *Expr) *Expr {
-	l := &Linear{}
-	linearInto(l, a, ^uint64(0))
+	var l linBuilder
+	l.addExpr(a, ^uint64(0))
 	return l.Expr()
 }
 
@@ -60,8 +61,8 @@ func Mul(args ...*Expr) *Expr {
 			return rest[0]
 		}
 		// k·(linear) distributes.
-		l := &Linear{}
-		linearInto(l, rest[0], k)
+		var l linBuilder
+		l.addExpr(rest[0], k)
 		return l.Expr()
 	}
 	rest = sortArgs(rest)

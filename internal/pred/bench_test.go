@@ -49,12 +49,30 @@ func BenchmarkJoin(b *testing.B) {
 	q := benchPred("a")
 	q.SetReg(x86.RCX, expr.Word(0x10))
 	p.SetReg(x86.RCX, expr.Word(0x20))
+	vars := NewJoinVars()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := Join(p, q, "v1")
+		out := Join(p, q, "v1", vars)
 		if out.IsBot() {
 			b.Fatal("join must not be bottom")
+		}
+	}
+}
+
+// BenchmarkRangeOf measures the miss path of RangeOf: the query's atoms
+// carry no intervals of their own, so the term-wise interval arithmetic
+// fails and the composite match scans every stored clause for a multiple.
+func BenchmarkRangeOf(b *testing.B) {
+	p := benchPred("a")
+	x, y := expr.V("x"), expr.V("y")
+	p.AddRange(expr.Add(x, y), Range{Lo: 0, Hi: 0x100})
+	e := expr.Add(expr.Mul(expr.Word(8), expr.Add(x, y)), expr.Word(0x40))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := p.RangeOf(e); !ok {
+			b.Fatal("composite clause must bound the query")
 		}
 	}
 }
@@ -63,7 +81,7 @@ func BenchmarkJoin(b *testing.B) {
 // the stored state).
 func BenchmarkLeq(b *testing.B) {
 	p := benchPred("a")
-	q := Join(p, benchPred("a"), "v1")
+	q := Join(p, benchPred("a"), "v1", NewJoinVars())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

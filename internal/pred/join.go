@@ -1,8 +1,7 @@
 package pred
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"repro/internal/expr"
 	"repro/internal/x86"
@@ -20,20 +19,30 @@ import (
 // (σ ⊑ σc ⟺ σ ⊔ σc = σc) is detectable by comparing keys. Intervals that
 // keep growing across joins are widened away after a bounded number of
 // growth steps, so there is no infinitely ascending chain.
-func Join(p, q *Pred, vid string) *Pred {
+//
+// vars resolves the join variables; the explorer passes one JoinVars per
+// lift, so every (vertex, state part) name is rendered and interned once.
+func Join(p, q *Pred, vid string, vars *JoinVars) *Pred {
 	if p.bot {
 		return q.Clone()
 	}
 	if q.bot {
 		return p.Clone()
 	}
-	out := New()
+	// Presized: memory clauses survive only when both sides have them, and
+	// the interval clauses mostly carry over from the stored state q.
+	out := &Pred{
+		mem:    make(map[memKey]MemEntry, min(len(p.mem), len(q.mem))),
+		ranges: make(map[*expr.Expr]rangeInfo, len(q.ranges)),
+	}
 
 	// Registers.
 	for i := range p.regs {
-		r := x86.Reg(i)
-		jname := joinVarName(vid, r.String())
-		e, ri, ok := joinValue(p, q, p.regs[i], q.regs[i], jname)
+		if p.regs[i] == nil && q.regs[i] == nil {
+			continue
+		}
+		jv := vars.reg(vid, x86.Reg(i))
+		e, ri, ok := joinValue(p, q, p.regs[i], q.regs[i], jv)
 		if !ok {
 			continue
 		}
@@ -57,10 +66,8 @@ func Join(p, q *Pred, vid string) *Pred {
 		if !ok {
 			continue
 		}
-		// The join-variable name embeds the human-readable region key, as it
-		// always has — names are part of the canonical output.
-		jname := joinVarName(vid, "m"+sanitize(regionKey(pe.Addr, pe.Size)))
-		e, ri, ok := joinValue(p, q, pe.Val, qe.Val, jname)
+		jv := vars.mem(vid, k)
+		e, ri, ok := joinValue(p, q, pe.Val, qe.Val, jv)
 		if !ok {
 			continue
 		}
@@ -125,14 +132,13 @@ func joinCmp(p, q, out *Pred) *Cmp {
 	return nil
 }
 
-// joinValue merges the two equality clauses part = pe and part = qe.
-// It returns the joined value, an optional interval on it, and whether any
-// clause survives.
-func joinValue(p, q *Pred, pe, qe *expr.Expr, jname expr.Var) (*expr.Expr, *rangeInfo, bool) {
+// joinValue merges the two equality clauses part = pe and part = qe, where
+// jv is the state part's join variable. It returns the joined value, an
+// optional interval on it, and whether any clause survives.
+func joinValue(p, q *Pred, pe, qe, jv *expr.Expr) (*expr.Expr, *rangeInfo, bool) {
 	if pe == nil && qe == nil {
 		return nil, nil, false
 	}
-	jv := expr.V(jname)
 	if pe == nil || qe == nil {
 		// One side is unconstrained: the join variable with no interval
 		// stands for "some value" — keeping the state part named lets
@@ -193,22 +199,85 @@ func sideRange(p *Pred, e, jv *expr.Expr) (rangeInfo, bool) {
 	return rangeInfo{}, false
 }
 
-func joinVarName(vid, part string) expr.Var {
-	return expr.Var(fmt.Sprintf("j%s_%s", vid, part))
+// JoinVars caches the join variables of one lift, keyed by vertex and
+// state part, so a revisited vertex resolves each variable with one map
+// probe instead of rendering and interning its name again. It is scoped to
+// a lift rather than the process: the entries die with the exploration
+// instead of accumulating across every unit a long run lifts. Not safe for
+// concurrent use; each explorer owns its own.
+type JoinVars struct {
+	regs map[regPart]*expr.Expr
+	mems map[memPart]*expr.Expr
 }
 
-// sanitize turns a region key into an identifier fragment.
-func sanitize(k string) string {
-	var b strings.Builder
+type regPart struct {
+	vid string
+	reg x86.Reg
+}
+
+type memPart struct {
+	vid string
+	k   memKey
+}
+
+// NewJoinVars returns an empty cache.
+func NewJoinVars() *JoinVars {
+	return &JoinVars{regs: map[regPart]*expr.Expr{}, mems: map[memPart]*expr.Expr{}}
+}
+
+// reg returns the join variable of register r at vertex vid.
+func (c *JoinVars) reg(vid string, r x86.Reg) *expr.Expr {
+	k := regPart{vid, r}
+	jv, ok := c.regs[k]
+	if !ok {
+		jv = regJoinVar(vid, r)
+		c.regs[k] = jv
+	}
+	return jv
+}
+
+// mem returns the join variable of memory region k at vertex vid.
+func (c *JoinVars) mem(vid string, k memKey) *expr.Expr {
+	pk := memPart{vid, k}
+	jv, ok := c.mems[pk]
+	if !ok {
+		jv = memJoinVar(vid, k)
+		c.mems[pk] = jv
+	}
+	return jv
+}
+
+// regJoinVar renders j<vid>_<reg>.
+func regJoinVar(vid string, r x86.Reg) *expr.Expr {
+	return expr.V(expr.Var("j" + vid + "_" + r.String()))
+}
+
+// memJoinVar renders j<vid>_m<region>. The name embeds the sanitized
+// human-readable region key "addr#size", as it always has: names are part
+// of the canonical output.
+func memJoinVar(vid string, k memKey) *expr.Expr {
+	b := make([]byte, 0, 64)
+	b = append(b, 'j')
+	b = append(b, vid...)
+	b = append(b, "_m"...)
+	b = appendSanitized(b, k.addr.Key())
+	b = append(b, '_') // '#' sanitizes to '_'
+	b = strconv.AppendInt(b, int64(k.size), 10)
+	return expr.V(expr.Var(b))
+}
+
+// appendSanitized appends a region key as an identifier fragment: ASCII
+// letters and digits are kept, every other rune becomes one '_'.
+func appendSanitized(b []byte, k string) []byte {
 	for _, r := range k {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		default:
-			b.WriteByte('_')
+			b = append(b, '_')
 		}
 	}
-	return b.String()
+	return b
 }
 
 // Leq reports p ⊑ q, i.e. q is equally or more abstract: joining p into q
@@ -216,5 +285,5 @@ func sanitize(k string) string {
 // (pointer compares on interned clauses) instead of rendering both
 // predicates to key strings.
 func Leq(p, q *Pred, vid string) bool {
-	return Join(p, q, vid).Same(q)
+	return Join(p, q, vid, NewJoinVars()).Same(q)
 }

@@ -20,6 +20,7 @@ package pred
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/expr"
@@ -60,13 +61,6 @@ type MemEntry struct {
 	Addr *expr.Expr // a constant expression (address in C)
 	Size int
 	Val  *expr.Expr
-}
-
-// regionKey renders the canonical clause key of a region. It survives only
-// for human-facing output (join-variable names embed it); the clause maps
-// themselves key on interned pointers.
-func regionKey(addr *expr.Expr, size int) string {
-	return fmt.Sprintf("%s#%d", addr.Key(), size)
 }
 
 // memKey identifies a memory region exactly: addresses are interned
@@ -369,7 +363,11 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	}
 	// Composite clause match: a stored interval on a compound expression
 	// (e.g. rdi0 + rsi0, from a branch refinement) bounds any constant
-	// multiple of it: e = scale·ek + K.
+	// multiple of it: e = scale·ek + K. Every matching clause bounds e
+	// soundly; the narrowest one (lowest Lo on ties) is taken, so the
+	// answer does not depend on map iteration order.
+	var best Range
+	found := false
 	for _, ri := range p.ranges {
 		lk := expr.ToLinear(ri.e)
 		scale, matches := linearRatio(l, lk)
@@ -377,41 +375,36 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 			continue
 		}
 		base := l.K - scale*lk.K
-		nlo := base + scale*ri.r.Lo
-		nhi := base + scale*ri.r.Hi
-		if nlo <= nhi && nhi >= base {
-			return Range{nlo, nhi}, true
+		r := Range{Lo: base + scale*ri.r.Lo, Hi: base + scale*ri.r.Hi}
+		if r.Lo > r.Hi || r.Hi < base {
+			continue
+		}
+		if !found || r.Width() < best.Width() || r.Width() == best.Width() && r.Lo < best.Lo {
+			best, found = r, true
 		}
 	}
-	return Range{}, false
+	return best, found
 }
 
 // linearRatio reports whether the non-constant parts satisfy l = scale·m,
-// returning the scale.
-func linearRatio(l, m *expr.Linear) (uint64, bool) {
+// returning the scale. Both term lists are in canonical key order, so equal
+// atom sets line up position by position.
+func linearRatio(l, m expr.Linear) (uint64, bool) {
 	if l.NumTerms() != m.NumTerms() || m.NumTerms() == 0 {
 		return 0, false
 	}
 	var scale uint64
-	ok := true
-	m.Terms(func(atom *expr.Expr, mc uint64) {
-		if !ok {
-			return
+	for i := range m.NumTerms() {
+		la, lc := l.Term(i)
+		ma, mc := m.Term(i)
+		if la != ma || lc%mc != 0 {
+			return 0, false
 		}
-		lc := l.Coeff(atom)
-		if lc == 0 || mc == 0 || lc%mc != 0 {
-			ok = false
-			return
-		}
-		s := lc / mc
-		if scale == 0 {
+		if s := lc / mc; scale == 0 {
 			scale = s
 		} else if s != scale {
-			ok = false
+			return 0, false
 		}
-	})
-	if !ok {
-		return 0, false
 	}
 	return scale, true
 }
@@ -465,25 +458,31 @@ func (p *Pred) Eval(e *expr.Expr) *expr.Expr {
 
 // CodePointerParts returns a deterministic signature of every state part
 // whose equality clause is an immediate word within [lo, hi) — registers
-// and memory clauses alike. The lifter's compatibility extension refuses
-// to join states whose signatures differ: immediate pointers into the
-// text section will highly likely influence future control flow
-// (Section 4).
+// ("rax=401020") and memory clauses ("m<addr key>=401020") alike — sorted.
+// The lifter's compatibility extension refuses to join states whose
+// signatures differ: immediate pointers into the text section will highly
+// likely influence future control flow (Section 4).
 func (p *Pred) CodePointerParts(lo, hi uint64) []string {
 	var out []string
+	var buf []byte
+	part := func(prefix, name string, w uint64) {
+		buf = append(append(append(buf[:0], prefix...), name...), '=')
+		out = append(out, string(strconv.AppendUint(buf, w, 16)))
+	}
 	for i, e := range p.regs {
 		if e == nil {
 			continue
 		}
 		if w, ok := e.AsWord(); ok && w >= lo && w < hi {
-			out = append(out, fmt.Sprintf("%s=%x", x86.Reg(i), w))
+			part("", x86.Reg(i).String(), w)
 		}
 	}
-	p.MemEntries(func(m MemEntry) {
+	for _, m := range p.mem {
 		if w, ok := m.Val.AsWord(); ok && w >= lo && w < hi {
-			out = append(out, fmt.Sprintf("m%s=%x", m.Addr.Key(), w))
+			part("m", m.Addr.Key(), w)
 		}
-	})
+	}
+	sort.Strings(out)
 	return out
 }
 

@@ -81,6 +81,24 @@ func TestRangeOfLinear(t *testing.T) {
 	}
 }
 
+// TestRangeOfCompositeDeterministic stores two compound clauses that both
+// bound the query — a+b and 2a+2b — so the composite match has two
+// candidates. The narrowest must win on every call, whatever order the
+// clause map iterates in.
+func TestRangeOfCompositeDeterministic(t *testing.T) {
+	a, b := expr.V("a"), expr.V("b")
+	p := New()
+	p.AddRange(expr.Add(a, b), Range{0, 10})
+	p.AddRange(expr.Add(expr.Mul(expr.Word(2), a), expr.Mul(expr.Word(2), b)), Range{0, 4})
+	// 4a + 4b + 1: a+b gives [1, 41], 2a+2b gives [1, 9].
+	e := expr.Add(expr.Mul(expr.Word(4), expr.Add(a, b)), expr.Word(1))
+	for i := 0; i < 100; i++ {
+		if r, ok := p.RangeOf(e); !ok || r != (Range{1, 9}) {
+			t.Fatalf("call %d: RangeOf(%s) = %+v, %v; want [1, 9]", i, e, r, ok)
+		}
+	}
+}
+
 func TestAddRangeOnWord(t *testing.T) {
 	p := New()
 	p.AddRange(expr.Word(5), Range{0, 10}) // satisfied, no clause
@@ -99,7 +117,7 @@ func TestJoinEqualClausesKept(t *testing.T) {
 	q.SetReg(x86.RBX, expr.V("rbx0"))
 	p.SetReg(x86.RAX, expr.V("a"))
 	q.SetReg(x86.RAX, expr.V("b"))
-	j := Join(p, q, "v1")
+	j := Join(p, q, "v1", NewJoinVars())
 	if got := j.Reg(x86.RBX); !got.Equal(expr.V("rbx0")) {
 		t.Fatalf("shared clause lost: %v", got)
 	}
@@ -119,7 +137,7 @@ func TestJoinRangeAbstraction(t *testing.T) {
 	p, q := New(), New()
 	p.SetReg(x86.RAX, expr.Word(3))
 	q.SetReg(x86.RAX, expr.Word(4))
-	j := Join(p, q, "v1")
+	j := Join(p, q, "v1", NewJoinVars())
 	jv := j.Reg(x86.RAX)
 	if jv == nil {
 		t.Fatal("range abstraction must keep a clause")
@@ -131,7 +149,7 @@ func TestJoinRangeAbstraction(t *testing.T) {
 	// Joining the result with yet another word widens the interval.
 	s := New()
 	s.SetReg(x86.RAX, expr.Word(10))
-	j2 := Join(s, j, "v1")
+	j2 := Join(s, j, "v1", NewJoinVars())
 	r, ok = j2.RangeOf(j2.Reg(x86.RAX))
 	if !ok || r != (Range{3, 10}) {
 		t.Fatalf("re-joined range: %+v %v", r, ok)
@@ -142,13 +160,13 @@ func TestJoinIdempotentFixedPoint(t *testing.T) {
 	p, q := New(), New()
 	p.SetReg(x86.RAX, expr.Word(3))
 	q.SetReg(x86.RAX, expr.Word(4))
-	j := Join(p, q, "v1")
+	j := Join(p, q, "v1", NewJoinVars())
 	// p ⊑ j and q ⊑ j.
 	if !Leq(p, j, "v1") || !Leq(q, j, "v1") {
 		t.Fatal("operands must be below the join")
 	}
 	// j ⊔ j = j.
-	if Join(j, j, "v1").Key() != j.Key() {
+	if Join(j, j, "v1", NewJoinVars()).Key() != j.Key() {
 		t.Fatal("join must be idempotent")
 	}
 }
@@ -162,7 +180,7 @@ func TestJoinTermination(t *testing.T) {
 	for i := 1; i < 100; i++ {
 		next := New()
 		next.SetReg(x86.RAX, expr.Word(uint64(i)*7))
-		j := Join(next, cur, "v9")
+		j := Join(next, cur, "v9", NewJoinVars())
 		if j.Key() == cur.Key() {
 			stable++
 			if stable > 2 {
@@ -184,7 +202,7 @@ func TestJoinMemory(t *testing.T) {
 	p.WriteMem(addr, 8, expr.V("rdi0"))
 	q.WriteMem(addr, 8, expr.V("rdi0"))
 	q.WriteMem(addr, 4, expr.Word(1)) // only in q
-	j := Join(p, q, "v1")
+	j := Join(p, q, "v1", NewJoinVars())
 	if v, ok := j.ReadMem(addr, 8); !ok || !v.Equal(expr.V("rdi0")) {
 		t.Fatal("shared memory clause lost")
 	}
@@ -195,7 +213,7 @@ func TestJoinMemory(t *testing.T) {
 	p2, q2 := New(), New()
 	p2.WriteMem(addr, 8, expr.Word(100))
 	q2.WriteMem(addr, 8, expr.Word(200))
-	j2 := Join(p2, q2, "v1")
+	j2 := Join(p2, q2, "v1", NewJoinVars())
 	v, ok := j2.ReadMem(addr, 8)
 	if !ok {
 		t.Fatal("abstracted memory clause missing")
@@ -210,19 +228,19 @@ func TestJoinFlagsAndCmp(t *testing.T) {
 	c := &Cmp{Kind: CmpSub, Lhs: expr.V("a"), Rhs: expr.Word(0xc3), Size: 4}
 	p.SetCmp(c)
 	q.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.V("a"), Rhs: expr.Word(0xc3), Size: 4})
-	j := Join(p, q, "v1")
+	j := Join(p, q, "v1", NewJoinVars())
 	if j.LastCmp() == nil {
 		t.Fatal("matching comparison descriptor must survive")
 	}
 	q.SetCmp(&Cmp{Kind: CmpSub, Lhs: expr.V("b"), Rhs: expr.Word(1), Size: 4})
-	if Join(p, q, "v1").LastCmp() != nil {
+	if Join(p, q, "v1", NewJoinVars()).LastCmp() != nil {
 		t.Fatal("mismatched comparison must be dropped")
 	}
 	p2, q2 := New(), New()
 	p2.SetFlag(x86.ZF, expr.Word(1))
 	q2.SetFlag(x86.ZF, expr.Word(1))
 	q2.SetFlag(x86.CF, expr.Word(0))
-	j2 := Join(p2, q2, "v1")
+	j2 := Join(p2, q2, "v1", NewJoinVars())
 	if j2.Flag(x86.ZF) == nil || j2.Flag(x86.CF) != nil {
 		t.Fatal("flag join")
 	}
@@ -231,10 +249,10 @@ func TestJoinFlagsAndCmp(t *testing.T) {
 func TestJoinBot(t *testing.T) {
 	p := New()
 	p.SetReg(x86.RAX, expr.Word(1))
-	if j := Join(Bot(), p, "v"); j.Key() != p.Key() {
+	if j := Join(Bot(), p, "v", NewJoinVars()); j.Key() != p.Key() {
 		t.Fatal("⊥ ⊔ P must be P")
 	}
-	if j := Join(p, Bot(), "v"); j.Key() != p.Key() {
+	if j := Join(p, Bot(), "v", NewJoinVars()); j.Key() != p.Key() {
 		t.Fatal("P ⊔ ⊥ must be P")
 	}
 }
@@ -310,7 +328,7 @@ func TestQuickJoinSoundness(t *testing.T) {
 		p, q := New(), New()
 		p.SetReg(x86.RAX, expr.Word(a))
 		q.SetReg(x86.RAX, expr.Word(b))
-		j := Join(p, q, "vq")
+		j := Join(p, q, "vq", NewJoinVars())
 		jv := j.Reg(x86.RAX)
 		if jv == nil {
 			return true // dropped clause is trivially sound
@@ -333,7 +351,7 @@ func TestQuickJoinCommutative(t *testing.T) {
 		} else {
 			q.SetReg(x86.RBX, expr.Word(b))
 		}
-		return Join(p, q, "vc").Key() == Join(q, p, "vc").Key()
+		return Join(p, q, "vc", NewJoinVars()).Key() == Join(q, p, "vc", NewJoinVars()).Key()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

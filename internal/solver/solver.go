@@ -177,7 +177,7 @@ func exact(c, n0, n1 int64) Result {
 // diffInterval bounds the linear difference d as a signed interval using
 // the predicate's interval clauses on its terms. The constant K is read as
 // signed; term contributions must be small enough not to overflow.
-func diffInterval(p *pred.Pred, d *expr.Linear) (lo, hi int64, ok bool) {
+func diffInterval(p *pred.Pred, d expr.Linear) (lo, hi int64, ok bool) {
 	lo = int64(d.K)
 	hi = lo
 	ok = true

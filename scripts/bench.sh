@@ -39,15 +39,19 @@ done
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
 
-# Micro-benchmarks: expression equality/keys, predicate ranges and joins,
-# solver cache probes. Each package run separately so a compile error in one
-# doesn't mask the others.
+# Micro-benchmarks: expression equality/keys and cached linear forms,
+# predicate ranges and joins, the memory-model join, solver cache probes.
+# Each package run separately so a compile error in one doesn't mask the
+# others.
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^(BenchmarkEqual|BenchmarkKeyShared|BenchmarkSubstAbsent)$' \
+    -bench '^(BenchmarkEqual|BenchmarkKeyShared|BenchmarkSubstAbsent|BenchmarkToLinear)$' \
     ./internal/expr/ | tee -a "$raw"
 go test -run '^$' -count="$count" -benchmem \
-    -bench '^(BenchmarkRangesKey|BenchmarkJoin|BenchmarkLeq)$' \
+    -bench '^(BenchmarkRangesKey|BenchmarkRangeOf|BenchmarkJoin|BenchmarkLeq)$' \
     ./internal/pred/ | tee -a "$raw"
+go test -run '^$' -count="$count" -benchmem \
+    -bench '^BenchmarkMemmodelJoin$' \
+    ./internal/memmodel/ | tee -a "$raw"
 go test -run '^$' -count="$count" -benchmem \
     -bench '^BenchmarkSolverCompareCached$' \
     ./internal/solver/ | tee -a "$raw"
