@@ -7,13 +7,6 @@
 // Usage:
 //
 //	hgprove [-func addr|name] [-thy out.thy] binary.elf
-//
-// hgprove is also the dist coordinator's worker executable: with the
-// hidden -worker flag (or the REPRO_HG_WORKER=1 environment the
-// coordinator sets when re-executing itself) it reads one binary shard
-// container from stdin, re-checks every graph it holds, and writes the
-// verdicts to stdout. See internal/dist and the "Distributed
-// verification" section of ARCHITECTURE.md.
 package main
 
 import (
@@ -24,7 +17,6 @@ import (
 	"strconv"
 
 	"repro"
-	"repro/internal/dist"
 	"repro/internal/hglint"
 	"repro/internal/hgstore"
 	"repro/internal/image"
@@ -33,18 +25,10 @@ import (
 )
 
 func main() {
-	dist.MaybeWorker()
 	funcSpec := flag.String("func", "", "verify a single function: hex address or symbol name")
 	thyOut := flag.String("thy", "", "write the theory export to this file")
 	hgIn := flag.String("hg", "", "verify a previously exported graph (.hg text or compact binary, auto-detected) against the binary")
-	worker := flag.Bool("worker", false, "run as a dist shard worker: shard on stdin, result on stdout (hidden; used by the coordinator)")
 	flag.Parse()
-	if *worker {
-		if err := dist.RunWorker(os.Stdin, os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: hgprove [-func addr|name] [-thy out.thy] binary.elf")
 		os.Exit(2)

@@ -60,7 +60,7 @@ func main() {
 		case "-V=full":
 			// cmd/go keys its cache on this line; bump the version when
 			// analyzer behaviour changes to invalidate cached results.
-			fmt.Println("reprovet version v1.4.0")
+			fmt.Println("reprovet version v1.5.0")
 			return
 		case "-flags":
 			fmt.Println("[]")

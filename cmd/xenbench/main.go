@@ -19,18 +19,15 @@
 // workers share one solver memo cache, and the tables report its per-row
 // hit-rate ("Hit%") next to the per-directory wall time.
 //
-// -workers N distributes Table 2's Step-2 re-verification across N worker
-// subprocesses through internal/dist (0 = single-process, the default).
-// Verdicts are merged deterministically, so the printed table is
-// byte-identical at any worker count; only wall time changes.
+// Table 2's Step-2 re-verification runs in-process: -jobs N also fans
+// each graph's per-vertex theorems across N goroutines, and the printed
+// verdicts are identical at any job count.
 //
 // -ptr enables the pointer-analysis pre-pass on every lift: per-function
 // fact tables of proven region relations and separation hypotheses answer
 // pointer comparisons before the decision procedure, so undecided pairs
-// stop forking the memory model. Incompatible with -workers > 0 (the
-// worker wire protocol does not ship fact tables); Step 2 in-process
-// recomputes each function's facts so re-checks see the same verdicts the
-// lift did.
+// stop forking the memory model. Step 2 recomputes each function's facts
+// so re-checks see the same verdicts the lift did.
 //
 // Robustness flags make long sweeps survivable:
 //
@@ -77,7 +74,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/dist"
 	"repro/internal/faultinject"
 	"repro/internal/hoare"
 	"repro/internal/obs"
@@ -93,7 +89,6 @@ import (
 // counters that decide the exit status.
 type runner struct {
 	jobs    int
-	workers int
 	timeout time.Duration
 	retry   lift.RetryPolicy
 	ckpt    *lift.Checkpoint
@@ -147,7 +142,6 @@ func (rn *runner) healthy() bool {
 }
 
 func main() {
-	dist.MaybeWorker()
 	table1 := flag.Bool("table1", false, "regenerate Table 1")
 	table2 := flag.Bool("table2", false, "regenerate Table 2")
 	fig3 := flag.Bool("fig3", false, "regenerate Figure 3")
@@ -158,7 +152,6 @@ func main() {
 	scale := flag.Float64("scale", 0.15, "Table 1 corpus scale (1.0 = paper size)")
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel lift workers (1 = serial)")
-	workers := flag.Int("workers", 0, "Step-2 worker subprocesses for -table2 (0 = single-process)")
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")
 	retries := flag.Int("retries", 1, "attempts per lift (>1 retries panicked/timed-out lifts)")
 	retryBackoff := flag.Duration("retry-backoff", 0, "delay before the first retry (doubles per retry)")
@@ -189,10 +182,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xenbench: -resume requires -checkpoint")
 		os.Exit(2)
 	}
-	if *ptrFacts && *workers > 0 {
-		fmt.Fprintln(os.Stderr, "xenbench: -ptr is incompatible with -workers > 0 (the Step-2 worker protocol does not ship fact tables)")
-		os.Exit(2)
-	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
@@ -215,7 +204,6 @@ func main() {
 	}
 	rn := &runner{
 		jobs:    *jobs,
-		workers: *workers,
 		timeout: *timeout,
 		retry:   lift.RetryPolicy{MaxAttempts: *retries, Backoff: *retryBackoff},
 		// tr is nil when no sink is selected: every emission site reduces
@@ -444,44 +432,7 @@ func runTable2(ctx context.Context, rn *runner) {
 	sum := lift.Run(ctx, reqs, t2opts...)
 	rn.absorb(sum)
 
-	// With -workers the Step-2 checks of every lifted function go through
-	// the dist coordinator in one batch (so solver batching and load
-	// balancing see the whole corpus); the reports come back in unit
-	// order, which is exactly the order the print loop below consumes
-	// them in. Worker chatter stays on stderr: the printed table is
-	// byte-identical to the single-process run.
-	var distReports []*triple.Report
-	if rn.workers > 0 {
-		var dus []dist.Unit
-		for i, r := range sum.Results {
-			if r.Status != core.StatusLifted || r.Binary == nil {
-				continue
-			}
-			for _, fr := range r.Binary.Funcs {
-				dus = append(dus, dist.Unit{
-					Name:  fmt.Sprintf("%s/%s", r.Name, fr.Name),
-					Img:   units[i].Image,
-					Graph: fr.Graph,
-				})
-			}
-		}
-		fmt.Fprintf(os.Stderr, "xenbench: distributing %d Step-2 checks across %d workers\n",
-			len(dus), rn.workers)
-		var err error
-		distReports, err = dist.Check(ctx, dus, dist.Options{
-			Workers: rn.workers,
-			Cfg:     sem.DefaultConfig(),
-			Retry:   rn.retry,
-			Timeout: rn.timeout,
-			Tracer:  rn.tr,
-		})
-		if err != nil {
-			fatal(err)
-		}
-	}
-
 	var sumI, sumInd, sumP, sumA, sumF, sumS int
-	next := 0
 	for i, r := range sum.Results {
 		if r.Status != core.StatusLifted || r.Binary == nil {
 			fmt.Printf("%-10s NOT LIFTED: %s\n", r.Name, r.Status)
@@ -489,20 +440,14 @@ func runTable2(ctx context.Context, rn *runner) {
 		}
 		var proven, assumed, failed, skipped int
 		for _, fr := range r.Binary.Funcs {
-			var rep *triple.Report
-			if rn.workers > 0 {
-				rep = distReports[next]
-				next++
-			} else {
-				cfg := sem.DefaultConfig()
-				if rn.ptr {
-					// Re-check under the same facts the lift explored
-					// with, so Step 2 reproduces the lift's verdicts.
-					cfg.Facts = ptr.Analyze(units[i].Image, fr.Addr).Facts
-				}
-				rep = triple.Check(ctx, units[i].Image, fr.Graph, cfg,
-					triple.Workers(rn.jobs), triple.WithTracer(rn.tr))
+			cfg := sem.DefaultConfig()
+			if rn.ptr {
+				// Re-check under the same facts the lift explored with,
+				// so Step 2 reproduces the lift's verdicts.
+				cfg.Facts = ptr.Analyze(units[i].Image, fr.Addr).Facts
 			}
+			rep := triple.Check(ctx, units[i].Image, fr.Graph, cfg,
+				triple.Workers(rn.jobs), triple.WithTracer(rn.tr))
 			proven += rep.Proven
 			assumed += rep.Assumed
 			failed += rep.Failed

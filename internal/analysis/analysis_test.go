@@ -31,37 +31,6 @@ import "context"
 func Check(ctx context.Context) int { return 0 }
 `
 
-// The stub lift package keeps synthetic NewCheckpoint/ResumeCheckpoint
-// declarations: the real wrappers are deleted and the real deprecation
-// map is empty, but the flagging mechanism stays covered by registering
-// these names via withDeprecated.
-const liftSrc = `package lift
-type Checkpoint struct{}
-func OpenCheckpoint(path string) (*Checkpoint, error) { return &Checkpoint{}, nil }
-func NewCheckpoint(path string) (*Checkpoint, error) { return OpenCheckpoint(path) }
-func ResumeCheckpoint(path string) (*Checkpoint, error) { return OpenCheckpoint(path) }
-`
-
-// withDeprecated installs test-only entries in the ctxless deprecation
-// map for the duration of one test, restoring the real (currently empty)
-// map afterwards.
-func withDeprecated(t *testing.T, entries map[string]string) {
-	t.Helper()
-	saved := deprecatedEntrypoints
-	deprecatedEntrypoints = entries
-	t.Cleanup(func() { deprecatedEntrypoints = saved })
-}
-
-// stubDeprecations marks the stub lift wrappers deprecated, mirroring how
-// the map looked while the PR 7 wrappers were in their compatibility
-// release.
-func stubDeprecations(t *testing.T) {
-	withDeprecated(t, map[string]string{
-		"repro/lift.NewCheckpoint":    "OpenCheckpoint",
-		"repro/lift.ResumeCheckpoint": "OpenCheckpoint",
-	})
-}
-
 const exprSrc = `package expr
 type Expr struct{}
 func Word(w uint64) *Expr { return &Expr{} }
@@ -126,7 +95,6 @@ func Background() Context { return nil }
 		"repro/internal/triple":   tripleSrc,
 		"repro/internal/obs":      obsSrc,
 		"repro/internal/expr":     exprSrc,
-		"repro/lift":              liftSrc,
 	} {
 		imp[path] = typecheck(t, path, src, imp).Pkg
 	}
@@ -134,33 +102,31 @@ func Background() Context { return nil }
 }
 
 func TestAnalyzers(t *testing.T) {
-	stubDeprecations(t)
 	imp := stubImporter(t)
-	pass := typecheck(t, "example.com/use", `package use
+	// Typechecked as an entrypoint package so the ctxless declaration
+	// rule applies alongside obsnil and pkgdoc.
+	pass := typecheck(t, "repro/internal/pipeline", `package pipeline
 
 import (
 	"context"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/triple"
-	"repro/lift"
 )
 
+func RunAll() {} // ctxless
+func CheckAll() int { return 0 } // ctxless
 func use(l *core.Lifter, tr *obs.Tracer) {
-	_, _ = lift.NewCheckpoint("a")    // ctxless
-	_, _ = lift.ResumeCheckpoint("a") // ctxless
-	_, _ = lift.OpenCheckpoint("a")
 	_ = l.LiftFuncCtx(context.Background(), 1, "f")
-	_ = pipeline.RunCtx(context.Background())
 	_ = triple.Check(context.Background())
 	_ = tr.Sink // obsnil
 	tr.Step(1)
-	_, _ = lift.NewCheckpoint("a") //reprovet:ignore ctxless
 	//reprovet:ignore
 	_ = tr.Sink
-	_, _ = lift.NewCheckpoint("a") //reprovet:ignore obsnil
 }
+func LiftAll() {} //reprovet:ignore ctxless
+func RunCtx(ctx context.Context) {}
+func LiftOne() {} //reprovet:ignore obsnil
 `, imp)
 	diags := Run(pass, All())
 	type finding struct {
@@ -173,9 +139,9 @@ func use(l *core.Lifter, tr *obs.Tracer) {
 	}
 	want := []finding{
 		{1, "pkgdoc"}, // the test package deliberately has no package doc
-		{13, "ctxless"}, {14, "ctxless"},
-		{19, "obsnil"},
-		{24, "ctxless"}, // the obsnil-only directive must not hide ctxless
+		{10, "ctxless"}, {11, "ctxless"},
+		{15, "obsnil"},
+		{22, "ctxless"}, // the obsnil-only directive must not hide ctxless
 	}
 	if len(got) != len(want) {
 		t.Fatalf("got %d diagnostics %v, want %d %v", len(got), got, len(want), want)
@@ -187,19 +153,21 @@ func use(l *core.Lifter, tr *obs.Tracer) {
 	}
 }
 
+// TestCtxlessMessageNamesReplacement checks that a flagged declaration's
+// message names the entrypoint and the parameter it must take instead.
 func TestCtxlessMessageNamesReplacement(t *testing.T) {
-	stubDeprecations(t)
 	imp := stubImporter(t)
-	pass := typecheck(t, "example.com/msg", `package msg
-import "repro/lift"
-func f() { _, _ = lift.ResumeCheckpoint("x") }
+	pass := typecheck(t, "repro/internal/triple", `package triple
+func CheckGraph(n int) int { return n }
 `, imp)
 	diags := Run(pass, []*Analyzer{Ctxless})
 	if len(diags) != 1 {
 		t.Fatalf("got %d diagnostics, want 1", len(diags))
 	}
-	if !strings.Contains(diags[0].Msg, "OpenCheckpoint") {
-		t.Fatalf("message %q does not name the replacement", diags[0].Msg)
+	for _, want := range []string{"CheckGraph", "context.Context"} {
+		if !strings.Contains(diags[0].Msg, want) {
+			t.Fatalf("message %q does not name %s", diags[0].Msg, want)
+		}
 	}
 }
 
@@ -361,43 +329,21 @@ func TestPkgdocAnyFileSuffices(t *testing.T) {
 	}
 }
 
-// TestCtxlessDeprecationMapEmpty pins the post-deletion state: no
-// deprecated wrappers remain registered, so the use-site rule is silent
-// until the next deprecation cycle populates the map.
-func TestCtxlessDeprecationMapEmpty(t *testing.T) {
-	if len(deprecatedEntrypoints) != 0 {
-		t.Fatalf("deprecatedEntrypoints holds %d entries, want 0 (the PR 7 wrappers are deleted): %v",
-			len(deprecatedEntrypoints), deprecatedEntrypoints)
-	}
-	imp := stubImporter(t)
-	pass := typecheck(t, "example.com/clean", `package clean
-import "repro/lift"
-func f() { _, _ = lift.NewCheckpoint("x") }
-`, imp)
-	if diags := Run(pass, []*Analyzer{Ctxless}); len(diags) != 0 {
-		t.Fatalf("empty map still flagged a use: %v", diags)
-	}
-}
-
 func TestRunOrdersDeterministically(t *testing.T) {
-	stubDeprecations(t)
 	imp := stubImporter(t)
-	src := `package ord
-import (
-	"repro/internal/obs"
-	"repro/lift"
-)
+	src := `package core
+import "repro/internal/obs"
 func f(tr *obs.Tracer) {
 	_ = tr.Sink
-	_, _ = lift.NewCheckpoint("x")
 	_ = tr.Sink
 }
+func LiftAll() {}
 `
 	var prev []Diagnostic
 	for i := 0; i < 5; i++ {
-		pass := typecheck(t, "example.com/ord", src, imp)
+		pass := typecheck(t, "repro/internal/core", src, imp)
 		diags := Run(pass, All())
-		if len(diags) != 4 { // pkgdoc fires too: ord has no package doc
+		if len(diags) != 4 { // pkgdoc fires too: the stand-in has no package doc
 			t.Fatalf("got %d diagnostics", len(diags))
 		}
 		if prev != nil {

@@ -4,7 +4,7 @@ package hgstore_test
 // the fixed <path>.tmp + blind-overwrite flush with unique tmp names, an
 // advisory file lock around the read-merge-write cycle, and
 // merge-on-flush union semantics. Two real processes (this test binary
-// re-executed, the internal/dist idiom) hammer one store path
+// re-executed with a marker environment variable) hammer one store path
 // concurrently; every entry either process wrote must be present and
 // decodable afterwards — zero lost entries, zero decode errors.
 
@@ -28,7 +28,7 @@ import (
 
 // The child environment: path of the shared store, the child's key-space
 // base (keeps the two writers' keys disjoint), and how many entries to
-// put. stressChild hijacks the process in TestMain, like dist.MaybeWorker.
+// put. stressChild hijacks the process in TestMain when stressEnv is set.
 const (
 	stressEnv      = "REPRO_HGSTORE_STRESS"
 	stressPathEnv  = "REPRO_HGSTORE_STRESS_PATH"

@@ -1,8 +1,8 @@
-// This file implements the binary Hoare-graph record used by the
-// distributed Step-2 shard format (internal/dist): the same graph content
-// as the .hg text form of serial.go, but with every expression replaced by
-// an index into a shared interned-expression table (expr.Table), so shared
-// subterms are emitted once per shard rather than re-rendered at every
+// This file implements the binary Hoare-graph record that the HG store
+// (internal/hgstore) persists graphs with: the same graph content as the
+// .hg text form of serial.go, but with every expression replaced by an
+// index into a shared interned-expression table (expr.Table), so shared
+// subterms are emitted once per record rather than re-rendered at every
 // occurrence. Like the text form, instructions are stored by address only
 // and re-fetched from the binary image on decode, so a serialised graph
 // cannot silently drift from its binary.
@@ -26,8 +26,8 @@
 //	tree   = region-count (EXPR size)* kid-count tree*
 //	edge   = from to out-kind addr callee
 //
-// The encoder's callers (dist) first collect every expression of the
-// shard's graphs into one expr.Table via CollectWireExprs, append the
+// The encoder's callers (hgstore) first collect every expression of the
+// record's graphs into one expr.Table via CollectWireExprs, append the
 // table once, then append each graph record against it.
 
 package hoare

@@ -167,16 +167,6 @@ func (m *Metrics) Emit(e Event) {
 		m.Counter("task.quarantined").Add(1)
 	case KCheckpoint:
 		m.Counter("checkpoint." + e.Status).Add(1)
-	case KShardStart:
-		m.Counter("dist.shards").Add(1)
-		m.Counter("dist.units").Add(e.N)
-	case KShardDone:
-		m.Counter("dist.shard." + e.Status).Add(1)
-		m.Counter("dist.solver.queries").Add(e.N)
-		m.Counter("dist.solver.hits").Add(e.Hits)
-		m.Histogram("dist.shard.wall").Observe(e.Wall)
-	case KWorkerRestart:
-		m.Counter("dist.worker.restarts").Add(1)
 	case KStore:
 		switch e.Status {
 		case "hit":

@@ -34,30 +34,27 @@ type Kind uint8
 // may lift several functions: a binary lift explores every reachable
 // callee); lift events bracket one function exploration.
 const (
-	KTaskStart     Kind = iota // pipeline: a scheduled task began
-	KTaskFinish                // pipeline: a scheduled task completed (Status, Wall)
-	KWatchdog                  // pipeline: the watchdog abandoned a wedged lift
-	KLiftStart                 // core: one function exploration began
-	KLiftFinish                // core: one function exploration ended (Status, N = steps, Wall)
-	KStep                      // core: one exploration step (Algorithm 1 loop body)
-	KJoin                      // core: an existing invariant was weakened by joining
-	KFork                      // sem: an undecided insertion forked the memory model (N = extra models)
-	KDestroy                   // sem: an insertion destroyed a region in some model
-	KSolver                    // sem: one solver comparison (Hit = answered from memo)
-	KObligation                // core: a proof obligation over an external call was emitted
-	KTheorem                   // triple: a Step-2 theorem verdict (Status, Vertex)
-	KLint                      // hglint: a static-analysis diagnostic (Status = severity, Detail = rule: msg)
-	KRetry                     // pipeline: a failed lift attempt was re-scheduled (Status = attempt's outcome, N = attempt)
-	KQuarantine                // pipeline: a task exhausted its retry budget (Status = final outcome, N = attempts)
-	KCheckpoint                // pipeline: checkpoint activity (Status = skip | write-error, Detail = context)
-	KShardStart                // dist: a serialized shard was handed to a worker (N = work units)
-	KShardDone                 // dist: a shard's verdicts merged (Status, N = solver queries, Hits = memo hits, Wall)
-	KWorkerRestart             // dist: a worker crashed or timed out and its shard was re-scheduled (Status, N = attempt)
-	KStore                     // hgstore: graph-store activity (Status = hit | miss | write | write-error | flush; N = payload bytes or flushed entries, Wall = decode/flush latency, Detail = miss reason / error)
-	KServe                     // serve: daemon request lifecycle (Status = admit | reject | request outcome; Func = request id, Detail = tenant, N = queue depth, Wall = request latency)
-	KFallback                  // sem: an insertion abandoned its forked models past MaxModels and destroyed instead
-	KPtrAnalyze                // ptr: the pointer pre-pass analyzed one function (N = proven facts, Hits = hypotheses, Wall = analysis time)
-	KFactHit                   // sem: a region comparison was answered from the pointer fact table
+	KTaskStart  Kind = iota // pipeline: a scheduled task began
+	KTaskFinish             // pipeline: a scheduled task completed (Status, Wall)
+	KWatchdog               // pipeline: the watchdog abandoned a wedged lift
+	KLiftStart              // core: one function exploration began
+	KLiftFinish             // core: one function exploration ended (Status, N = steps, Wall)
+	KStep                   // core: one exploration step (Algorithm 1 loop body)
+	KJoin                   // core: an existing invariant was weakened by joining
+	KFork                   // sem: an undecided insertion forked the memory model (N = extra models)
+	KDestroy                // sem: an insertion destroyed a region in some model
+	KSolver                 // sem: one solver comparison (Hit = answered from memo)
+	KObligation             // core: a proof obligation over an external call was emitted
+	KTheorem                // triple: a Step-2 theorem verdict (Status, Vertex)
+	KLint                   // hglint: a static-analysis diagnostic (Status = severity, Detail = rule: msg)
+	KRetry                  // pipeline: a failed lift attempt was re-scheduled (Status = attempt's outcome, N = attempt)
+	KQuarantine             // pipeline: a task exhausted its retry budget (Status = final outcome, N = attempts)
+	KCheckpoint             // pipeline: checkpoint activity (Status = skip | write-error, Detail = context)
+	KStore                  // hgstore: graph-store activity (Status = hit | miss | write | write-error | flush; N = payload bytes or flushed entries, Wall = decode/flush latency, Detail = miss reason / error)
+	KServe                  // serve: daemon request lifecycle (Status = admit | reject | request outcome; Func = request id, Detail = tenant, N = queue depth, Wall = request latency)
+	KFallback               // sem: an insertion abandoned its forked models past MaxModels and destroyed instead
+	KPtrAnalyze             // ptr: the pointer pre-pass analyzed one function (N = proven facts, Hits = hypotheses, Wall = analysis time)
+	KFactHit                // sem: a region comparison was answered from the pointer fact table
 )
 
 // kindNames renders the kinds in the JSONL trace.
@@ -78,15 +75,11 @@ var kindNames = [...]string{
 	KRetry:      "retry",
 	KQuarantine: "quarantine",
 	KCheckpoint: "checkpoint",
-
-	KShardStart:    "shard-start",
-	KShardDone:     "shard-done",
-	KWorkerRestart: "worker-restart",
-	KStore:         "store",
-	KServe:         "serve",
-	KFallback:      "fallback",
-	KPtrAnalyze:    "ptr-analyze",
-	KFactHit:       "ptr-hit",
+	KStore:      "store",
+	KServe:      "serve",
+	KFallback:   "fallback",
+	KPtrAnalyze: "ptr-analyze",
+	KFactHit:    "ptr-hit",
 }
 
 // String renders the kind.
@@ -120,10 +113,10 @@ type Event struct {
 	// Detail is free-form context (an obligation text, a watchdog note).
 	Detail string
 	// N is a count: extra memory models for KFork, exploration steps for
-	// KLiftFinish, solver queries for KShardDone.
+	// KLiftFinish, proven facts for KPtrAnalyze.
 	N uint64
-	// Hits is a second count for kinds that need one: solver memo hits for
-	// KShardDone (N holds the query count).
+	// Hits is a second count for kinds that need one: separation
+	// hypotheses for KPtrAnalyze (N holds the proven-fact count).
 	Hits uint64
 	// Hit reports a solver memo-cache hit for KSolver.
 	Hit bool
@@ -352,33 +345,6 @@ func (t *Tracer) CheckpointError(name string, err error) {
 		return
 	}
 	t.Emit(Event{Kind: KCheckpoint, Func: name, Status: "write-error", Detail: err.Error()})
-}
-
-// ShardStart marks the dist coordinator handing a serialized shard (with
-// the given number of work units) to a worker subprocess.
-func (t *Tracer) ShardStart(shard string, units int) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KShardStart, Func: shard, N: uint64(units)})
-}
-
-// ShardDone marks a shard's verdicts being merged back: status is "ok" or
-// the terminal failure, queries/hits the shard solver cache's totals.
-func (t *Tracer) ShardDone(shard, status string, queries, hits uint64, wall time.Duration) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KShardDone, Func: shard, Status: status, N: queries, Hits: hits, Wall: wall})
-}
-
-// WorkerRestart marks a worker subprocess crash or timeout whose shard was
-// re-scheduled; attempt is the 0-based index of the attempt that failed.
-func (t *Tracer) WorkerRestart(shard, reason string, attempt int) {
-	if t == nil {
-		return
-	}
-	t.Emit(Event{Kind: KWorkerRestart, Func: shard, Status: reason, N: uint64(attempt)})
 }
 
 // StoreHit marks a graph-store lookup answered from the cache: bytes is

@@ -134,21 +134,19 @@ type RetryPolicy struct {
 	TimeoutScale float64
 }
 
-// Attempts normalises MaxAttempts: the total number of attempts a task
-// gets, at least 1. Exported so other schedulers with the same
-// retry-then-quarantine semantics (the dist coordinator's worker
-// subprocesses) share the policy's interpretation.
-func (p RetryPolicy) Attempts() int {
+// attempts normalises MaxAttempts: the total number of attempts a task
+// gets, at least 1.
+func (p RetryPolicy) attempts() int {
 	if p.MaxAttempts < 1 {
 		return 1
 	}
 	return p.MaxAttempts
 }
 
-// Delay returns the backoff before the retry that follows the given
+// delay returns the backoff before the retry that follows the given
 // failed attempt (0-based index): Backoff doubled per retry, capped by
 // MaxBackoff when set.
-func (p RetryPolicy) Delay(attempt int) time.Duration {
+func (p RetryPolicy) delay(attempt int) time.Duration {
 	d := p.Backoff << attempt
 	if p.MaxBackoff > 0 && d > p.MaxBackoff {
 		d = p.MaxBackoff
@@ -431,7 +429,7 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 			tr.StoreMiss(t.Name, reason)
 		}
 	}
-	maxAttempts := opts.Retry.Attempts()
+	maxAttempts := opts.Retry.attempts()
 	var retryStats Stats
 	for attempt := 0; ; attempt++ {
 		r := runAttempt(ctx, t, idx, opts, tr, attempt)
@@ -448,7 +446,7 @@ func runOne(ctx context.Context, t Task, idx int, opts Options) Result {
 			return finish(r)
 		}
 		retryStats.Add(r.Stats)
-		backoff := opts.Retry.Delay(attempt)
+		backoff := opts.Retry.delay(attempt)
 		tr.Retry(t.Name, r.Status.String(), attempt, backoff)
 		if backoff > 0 {
 			timer := time.NewTimer(backoff)

@@ -1,11 +1,10 @@
 // Package wire holds the low-level primitives shared by the repo's binary
 // serialization formats (the interned-expression table of package expr,
-// the Hoare-graph records of package hoare, and the shard/result
-// containers of package dist): uvarint-based append helpers and a
-// first-error-sticky Decoder cursor. Formats built on it are
-// deterministic byte-for-byte — no maps are iterated, no pointers or
-// timestamps are written — which is what lets re-serialization be the
-// byte identity and lets coordinators diff worker output directly.
+// the Hoare-graph records of package hoare, and the store container of
+// package hgstore): uvarint-based append helpers and a first-error-sticky
+// Decoder cursor. Formats built on it are deterministic byte-for-byte —
+// no maps are iterated, no pointers or timestamps are written — which is
+// what lets re-serialization be the byte identity.
 package wire
 
 import (

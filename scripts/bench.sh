@@ -75,14 +75,6 @@ go test -run '^$' -count="$count" -benchmem \
     -bench '^(BenchmarkPtrPathology|BenchmarkPtrPathologyFacts|BenchmarkPtrAnalyze)$' \
     . | tee -a "$raw"
 
-# Distributed Step 2: the in-process baseline against worker-subprocess
-# runs at 1/2/4 workers (internal/dist). The workers=1 vs workers=N pair
-# is the scaling datapoint recorded in BENCH_PR6.json; workers=1 vs
-# InProcess isolates the shard protocol overhead.
-go test -run '^$' -count="$count" -benchmem \
-    -bench '^(BenchmarkStep2InProcess|BenchmarkStep2Workers)$' \
-    ./internal/dist/ | tee -a "$raw"
-
 # Fold the go test -bench lines into JSON. Value/unit pairs follow the
 # iteration count; units become keys (ns/op -> ns_per_op, hit% -> hit_pct).
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v go="$(go env GOVERSION)" '
