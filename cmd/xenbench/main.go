@@ -11,7 +11,9 @@
 //	           a paper artifact; run it explicitly, with and without -ptr)
 //
 // -scale shrinks the Table 1 unit counts (1.0 = the paper's 63 binaries
-// and 2151 library functions; the default keeps runtimes laptop-friendly).
+// and 2151 library functions; the default keeps runtimes laptop-friendly)
+// and Figure 3's functions per size class. Table 2 ignores it and always
+// runs the paper-size CoreUtils suite.
 //
 // -jobs N fans the lifts of each sweep out across N pipeline workers
 // (default: all CPUs). Lifts are context-free and mutually independent, so
@@ -149,7 +151,7 @@ func main() {
 	failures := flag.Bool("failures", false, "regenerate the Section 5.3 failures")
 	ptrBench := flag.Bool("ptrbench", false, "run the pointer pre-pass benchmark (pathological ptr_ directory)")
 	all := flag.Bool("all", false, "run everything")
-	scale := flag.Float64("scale", 0.15, "Table 1 corpus scale (1.0 = paper size)")
+	scale := flag.Float64("scale", 0.15, "Table 1 and Figure 3 corpus scale (1.0 = paper size; Table 2 always runs at paper size)")
 	seed := flag.Int64("seed", 1, "corpus generation seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "parallel lift workers (1 = serial)")
 	timeout := flag.Duration("timeout", 0, "per-lift wall-clock budget (0 = none)")

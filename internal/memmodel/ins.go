@@ -36,7 +36,8 @@ func (k RelKind) String() string {
 
 // InsResult is one nondeterministically produced memory model plus the
 // relation of every pre-existing region to the inserted region in that
-// model, keyed by the regions' interned identities.
+// model, keyed by the regions' interned identities. Every result owns its
+// Rel map, so the recursive cases of insertion extend it in place.
 type InsResult struct {
 	Forest Forest
 	Rel    map[RegionID]RelKind
@@ -202,7 +203,7 @@ func compareTrees(t0, t1 *Tree, o Oracle) treeRel {
 // recording. t0 is the tree being inserted; f the current (sub-)model.
 func insTree(t0 *Tree, f Forest, o Oracle, cfg Config) []InsResult {
 	if len(f) == 0 {
-		return []InsResult{{Forest: Forest{t0.Clone()}, Rel: map[RegionID]RelKind{}}}
+		return []InsResult{{Forest: Forest{t0}, Rel: map[RegionID]RelKind{}}}
 	}
 	t1, rest := f[0], f[1:]
 	rel := compareTrees(t0, t1, o)
@@ -258,11 +259,11 @@ func insAlias(t0, t1 *Tree, rest Forest) InsResult {
 	for _, r := range t1.Regions {
 		rel[IDOf(r)] = RelAlias
 	}
-	merged.Kids = append(t0.Kids.Clone(), t1.Kids.Clone()...)
+	merged.Kids = concat(t0.Kids, t1.Kids...)
 	for _, kid := range t1.Kids.AllRegions(nil) {
 		rel[IDOf(kid)] = RelEncloses
 	}
-	out := append(Forest{merged}, rest.Clone()...)
+	out := concat(Forest{merged}, rest...)
 	for _, r := range rest.AllRegions(nil) {
 		rel[IDOf(r)] = RelSeparate
 	}
@@ -271,23 +272,15 @@ func insAlias(t0, t1 *Tree, rest Forest) InsResult {
 
 // insSep keeps t1 untouched and recursively inserts t0 into the rest.
 func insSep(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
-	subResults := insTree(t0, rest, o, cfg)
-	out := make([]InsResult, 0, len(subResults))
-	for _, sub := range subResults {
-		rel := map[RegionID]RelKind{}
-		for k, v := range sub.Rel {
-			rel[k] = v
-		}
+	out := insTree(t0, rest, o, cfg)
+	for i, sub := range out {
 		for _, r := range t1.Regions {
-			rel[IDOf(r)] = RelSeparate
+			sub.Rel[IDOf(r)] = RelSeparate
 		}
 		for _, r := range t1.Kids.AllRegions(nil) {
-			rel[IDOf(r)] = RelSeparate
+			sub.Rel[IDOf(r)] = RelSeparate
 		}
-		out = append(out, InsResult{
-			Forest: append(Forest{t1.Clone()}, sub.Forest...),
-			Rel:    rel,
-		})
+		out[i].Forest = concat(Forest{t1}, sub.Forest...)
 	}
 	return out
 }
@@ -295,47 +288,36 @@ func insSep(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
 // insEnc inserts t0 into the sub-forest of t1. To keep the model count
 // linear we commit to the first produced sub-model here; enclosure writes
 // invalidate the enclosing region's contents anyway, so extra sub-models
-// add no precision for the predicate.
+// add no precision for the predicate. When no clean relation to t1's
+// children is possible (only a partial overlap remains), the children that
+// may overlap t0 are destroyed within t1.
 func insEnc(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) InsResult {
-	subResults := insTree(t0, t1.Kids, o, cfg)
-	sub := subResults[0]
-	rel := map[RegionID]RelKind{}
-	for k, v := range sub.Rel {
-		rel[k] = v
+	var sub InsResult
+	if subResults := insTree(t0, t1.Kids, o, cfg); len(subResults) > 0 {
+		sub = subResults[0]
+	} else {
+		sub = destroy(t0, t1.Kids, o)
 	}
+	rel := sub.Rel
 	for _, r := range t1.Regions {
 		rel[IDOf(r)] = RelEnclosedIn
 	}
-	nt := &Tree{Regions: append([]solver.Region(nil), t1.Regions...), Kids: sub.Forest}
+	nt := &Tree{Regions: t1.Regions, Kids: sub.Forest}
 	for _, r := range rest.AllRegions(nil) {
 		rel[IDOf(r)] = RelSeparate
 	}
-	return InsResult{Forest: append(Forest{nt}, rest.Clone()...), Rel: rel}
+	return InsResult{Forest: concat(Forest{nt}, rest...), Rel: rel}
 }
 
 // insCon makes t1 a child of t0 and recursively inserts the grown t0 into
 // the rest of the model.
 func insCon(t0, t1 *Tree, rest Forest, o Oracle, cfg Config) []InsResult {
-	grown := t0.Clone()
-	grown.Kids = append(grown.Kids, t1.Clone())
-	inner := map[RegionID]RelKind{}
-	for _, r := range t1.Regions {
-		inner[IDOf(r)] = RelEncloses
-	}
-	for _, r := range t1.Kids.AllRegions(nil) {
-		inner[IDOf(r)] = RelEncloses
-	}
-	subResults := insTree(grown, rest, o, cfg)
-	out := make([]InsResult, 0, len(subResults))
-	for _, sub := range subResults {
-		rel := map[RegionID]RelKind{}
-		for k, v := range sub.Rel {
-			rel[k] = v
+	grown := &Tree{Regions: t0.Regions, Kids: concat(t0.Kids, t1)}
+	out := insTree(grown, rest, o, cfg)
+	for _, sub := range out {
+		for _, r := range t1.Kids.AllRegions(append([]solver.Region(nil), t1.Regions...)) {
+			sub.Rel[IDOf(r)] = RelEncloses
 		}
-		for k, v := range inner {
-			rel[k] = v
-		}
-		out = append(out, InsResult{Forest: sub.Forest, Rel: rel})
 	}
 	return out
 }
@@ -350,7 +332,7 @@ func destroy(t0 *Tree, f Forest, o Oracle) InsResult {
 	for _, t := range f {
 		r := compareTrees(t0, t, o)
 		if r.separate == solver.Yes {
-			kept = append(kept, t.Clone())
+			kept = append(kept, t)
 			for _, reg := range t.Regions {
 				rel[IDOf(reg)] = RelSeparate
 			}
@@ -366,5 +348,12 @@ func destroy(t0 *Tree, f Forest, o Oracle) InsResult {
 			rel[IDOf(reg)] = RelDestroyed
 		}
 	}
-	return InsResult{Forest: append(kept, t0.Clone()), Rel: rel}
+	return InsResult{Forest: append(kept, t0), Rel: rel}
+}
+
+// concat returns a fresh forest holding f's trees followed by more. It never
+// appends into f's backing array, which may belong to a published tree.
+func concat(f Forest, more ...*Tree) Forest {
+	out := make(Forest, 0, len(f)+len(more))
+	return append(append(out, f...), more...)
 }

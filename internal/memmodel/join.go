@@ -1,6 +1,8 @@
 package memmodel
 
 import (
+	"slices"
+
 	"repro/internal/pred"
 	"repro/internal/solver"
 )
@@ -14,87 +16,105 @@ import (
 // proof relies on — so are classes represented in only one of the two
 // operands: a relation survives the join only if both disjuncts established
 // it.
+//
+// Neither operand is modified; the result shares their subtrees. Its order
+// is deterministic: classes appear in the order of their first tree (m0's
+// trees first), and a node keeps the region order of its class's first
+// tree. Forests hold a handful of regions, so classes are found by linear
+// scans rather than maps.
 func Join(m0, m1 Forest) Forest {
-	trees := append(append([]*Tree{}, m0...), m1...)
-	if len(trees) == 0 {
-		return nil
+	if sameOrdered(m0, m1) {
+		return m1 // M ⊔ M = M
 	}
+	trees := append(append(make([]*Tree, 0, len(m0)+len(m1)), m0...), m1...)
 
-	// Union-find over trees keyed by shared top-level regions.
+	// Union-find over trees keyed by shared top-level regions; each
+	// region is owned by the first tree that holds it.
 	parent := make([]int, len(trees))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(i int) int {
+	find := func(i int) int {
 		for parent[i] != i {
 			parent[i] = parent[parent[i]]
 			i = parent[i]
 		}
 		return i
 	}
-	union := func(a, b int) { parent[find(a)] = find(b) }
-
-	byRegion := map[RegionID]int{}
+	type owner struct {
+		r    solver.Region // regions compare by identity
+		tree int
+	}
+	var owners []owner
 	for i, t := range trees {
 		for _, r := range t.Regions {
-			id := IDOf(r)
-			if j, ok := byRegion[id]; ok {
-				union(i, j)
+			j := slices.IndexFunc(owners, func(o owner) bool { return o.r == r })
+			if j < 0 {
+				owners = append(owners, owner{r, i})
 			} else {
-				byRegion[id] = i
+				parent[find(i)] = find(owners[j].tree)
 			}
 		}
 	}
 
-	classes := map[int][]*Tree{}
-	fromBoth := map[int][2]bool{}
+	// Classes in the order of their first tree, members in tree order.
+	type class struct {
+		trees    []*Tree
+		in0, in1 bool // backed by m0, by m1
+	}
+	var classes []class
+	classOf := make([]int, len(trees)) // root → 1 + class index; 0 = none yet
 	for i, t := range trees {
 		root := find(i)
-		classes[root] = append(classes[root], t)
-		sides := fromBoth[root]
-		if i < len(m0) {
-			sides[0] = true
-		} else {
-			sides[1] = true
+		if classOf[root] == 0 {
+			classes = append(classes, class{})
+			classOf[root] = len(classes)
 		}
-		fromBoth[root] = sides
+		c := &classes[classOf[root]-1]
+		c.trees = append(c.trees, t)
+		if i < len(m0) {
+			c.in0 = true
+		} else {
+			c.in1 = true
+		}
 	}
 
 	var out Forest
 	var oneSided []*Tree
-	for root, class := range classes {
-		if sides := fromBoth[root]; !sides[0] || !sides[1] {
+	for _, c := range classes {
+		if !c.in0 || !c.in1 {
 			// A class backed by only one operand encodes contingent
 			// relations the other disjunct need not satisfy — unless the
 			// relations are geometric tautologies (Example 3.13's two
 			// same-base children), in which case they hold in every
 			// state and may be kept.
-			if t := joinClass(class); t != nil && treeNecessary(t) {
+			if t := joinClass(c.trees); t != nil && treeNecessary(t) {
 				oneSided = append(oneSided, t)
 			}
 			continue
 		}
-		if t := joinClass(class); t != nil {
+		if t := joinClass(c.trees); t != nil {
 			out = append(out, t)
 		}
 	}
+	joined := out
 	for _, t := range oneSided {
-		ok := true
-		for _, u := range append(append(Forest{}, out...), oneSided...) {
-			if u == t {
-				continue
-			}
-			if !necessarilySeparate(t, u) {
-				ok = false
-				break
-			}
-		}
-		if ok {
+		if separateFromAll(t, joined) && separateFromAll(t, oneSided) {
 			out = append(out, t)
 		}
 	}
 	return out
+}
+
+// separateFromAll reports whether t is necessarily separate from every
+// other tree of f.
+func separateFromAll(t *Tree, f Forest) bool {
+	for _, u := range f {
+		if u != t && !necessarilySeparate(t, u) {
+			return false
+		}
+	}
+	return true
 }
 
 // emptyPred answers relation queries with no predicate knowledge: only
@@ -149,32 +169,27 @@ func necessarilySeparate(t, u *Tree) bool {
 }
 
 // joinClass implements joint(T): intersect the region sets, join the child
-// models pairwise.
+// models pairwise. The node keeps the first tree's region order; a
+// single-tree class shares its children.
 func joinClass(class []*Tree) *Tree {
-	// Intersection of the region sets.
-	counts := map[RegionID]int{}
-	repr := map[RegionID]solver.Region{}
-	for _, t := range class {
-		seen := map[RegionID]bool{}
-		for _, r := range t.Regions {
-			id := IDOf(r)
-			if !seen[id] {
-				seen[id] = true
-				counts[id]++
-				repr[id] = r
-			}
-		}
-	}
 	var node []solver.Region
-	for id, c := range counts {
-		if c == len(class) {
-			node = append(node, repr[id])
+	first := class[0].Regions
+	for i, r := range first {
+		if slices.Contains(first[:i], r) {
+			continue
+		}
+		inAll := true
+		for _, t := range class[1:] {
+			inAll = inAll && slices.Contains(t.Regions, r)
+		}
+		if inAll {
+			node = append(node, r)
 		}
 	}
 	if len(node) == 0 {
 		return nil
 	}
-	kids := class[0].Kids.Clone()
+	kids := class[0].Kids
 	for _, t := range class[1:] {
 		kids = Join(kids, t.Kids)
 	}

@@ -167,9 +167,9 @@ func TestExample38(t *testing.T) {
 	var saw2a, saw2b bool
 	for _, m := range models {
 		rels := m.Relations()
-		aliasTop := rels[relKeyStr(rdi, rsi, "≡")]
-		childIn := rels[relKeyStr2(rsi4, rsi, "⪯")]
-		sepTop := rels[relKeyStr(rdi, rsi, "⋈")]
+		aliasTop := rels[Relation{A: rdi, B: rsi, Op: "≡"}.Key()]
+		childIn := rels[Relation{A: rsi4, B: rsi, Op: "⪯"}.Key()]
+		sepTop := rels[Relation{A: rsi, B: rdi, Op: "⋈"}.Key()]
 		if aliasTop && childIn {
 			saw2a = true
 		}
@@ -186,11 +186,6 @@ func TestExample38(t *testing.T) {
 	if len(models) > 6 {
 		t.Errorf("state explosion: %d models", len(models))
 	}
-}
-
-// relKeyStr2 is relKeyStr for the asymmetric ⪯.
-func relKeyStr2(a, b solver.Region, op string) string {
-	return regionKey(a) + " " + op + " " + regionKey(b)
 }
 
 func TestDestroyOnNoForkConfig(t *testing.T) {
@@ -238,10 +233,23 @@ func TestRelationsOf(t *testing.T) {
 
 func TestJoinIdentical(t *testing.T) {
 	f := Forest{Leaf(reg(rsp(-8), 8)), Leaf(reg(rsp(-16), 8))}
-	j := Join(f, f.Clone())
+	j := Join(f, copyForest(f))
 	if j.Key() != f.Key() {
 		t.Fatalf("join of identical models: %v vs %v", j, f)
 	}
+}
+
+// copyForest returns a structurally equal forest that shares no node or
+// slice with f.
+func copyForest(f Forest) Forest {
+	if f == nil {
+		return nil
+	}
+	out := make(Forest, len(f))
+	for i, t := range f {
+		out[i] = &Tree{Regions: append([]solver.Region(nil), t.Regions...), Kids: copyForest(t.Kids)}
+	}
+	return out
 }
 
 // TestJoinExample313 replays Example 3.13: two models with top [rdi0,8] and

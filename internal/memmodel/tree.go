@@ -23,12 +23,19 @@ import (
 
 // Tree is one memory tree: a node of mutually aliasing regions plus a
 // sub-forest of enclosed children.
+//
+// Trees are immutable once published in a Forest: insertion and join build
+// new nodes and share every subtree they do not change, and cloning a
+// state copies only the forest header. Only a decoder filling a fresh tree
+// writes its fields; nothing appends into a published Regions or Kids
+// slice, whose backing array other forests may share.
 type Tree struct {
 	Regions []solver.Region
 	Kids    Forest
 }
 
-// Forest is a memory model: a set of mutually separate trees.
+// Forest is a memory model: a set of mutually separate trees. Like its
+// trees, a published forest is never modified in place.
 type Forest []*Tree
 
 // NewRegion is a convenience constructor.
@@ -62,25 +69,6 @@ func (id RegionID) String() string {
 
 // Leaf returns a single-region tree with no children.
 func Leaf(r solver.Region) *Tree { return &Tree{Regions: []solver.Region{r}} }
-
-// Clone returns a deep copy of the tree.
-func (t *Tree) Clone() *Tree {
-	nt := &Tree{Regions: append([]solver.Region(nil), t.Regions...)}
-	nt.Kids = t.Kids.Clone()
-	return nt
-}
-
-// Clone returns a deep copy of the forest.
-func (f Forest) Clone() Forest {
-	if f == nil {
-		return nil
-	}
-	nf := make(Forest, len(f))
-	for i, t := range f {
-		nf[i] = t.Clone()
-	}
-	return nf
-}
 
 // Key returns a canonical fingerprint of the forest (order-independent).
 func (f Forest) Key() string {
@@ -172,43 +160,85 @@ type Relation struct {
 	Op   string // "≡", "⋈" or "⪯"
 }
 
-// String renders the relation in the canonical key form used by
-// Relations().
+// String renders the relation as "a op b", the operands of the symmetric
+// ≡ and ⋈ in rendered-key order.
 func (r Relation) String() string {
-	if r.Op == "⪯" {
-		return fmt.Sprintf("%s ⪯ %s", regionKey(r.A), regionKey(r.B))
+	ka, kb := regionKey(r.A), regionKey(r.B)
+	if r.Op != "⪯" && ka > kb {
+		ka, kb = kb, ka
 	}
-	return relKeyStr(r.A, r.B, r.Op)
+	return ka + " " + r.Op + " " + kb
+}
+
+// RelKey identifies one relation of R(M) without rendering it: the region
+// identities, in canonical order for the symmetric ≡ and ⋈, and the op.
+type RelKey struct {
+	A, B RegionID
+	Op   string
+}
+
+// Key returns the relation's identity.
+func (r Relation) Key() RelKey {
+	a, b := IDOf(r.A), IDOf(r.B)
+	if r.Op != "⪯" && idLess(b, a) {
+		a, b = b, a
+	}
+	return RelKey{A: a, B: b, Op: r.Op}
+}
+
+// idLess is a total order on region identities: by the address's cached
+// canonical key, then by size.
+func idLess(a, b RegionID) bool {
+	if a.Addr != b.Addr {
+		return a.Addr.Key() < b.Addr.Key()
+	}
+	return a.Size < b.Size
 }
 
 // RelationsDetailed returns R(M) with structured entries.
 func (f Forest) RelationsDetailed() []Relation {
 	var out []Relation
-	var walk func(f Forest)
-	walk = func(f Forest) {
-		for i, t := range f {
-			for a := 0; a < len(t.Regions); a++ {
-				for b := a + 1; b < len(t.Regions); b++ {
-					out = append(out, Relation{A: t.Regions[a], B: t.Regions[b], Op: "≡"})
-				}
+	f.eachRelation(func(r Relation) { out = append(out, r) })
+	return out
+}
+
+// Relations returns the set R(M) of region relations encoded by the model,
+// keyed by identity. Step 2 checks memory-model entailment as inclusion of
+// these sets; the tests of Lemma 3.11 (completeness of insertion) query it.
+func (f Forest) Relations() map[RelKey]bool {
+	out := map[RelKey]bool{}
+	f.eachRelation(func(r Relation) { out[r.Key()] = true })
+	return out
+}
+
+// eachRelation calls fn for every entry of R(M): aliasing within a node,
+// children enclosed in every top region of their ancestor, and the regions
+// of sibling trees (with their descendants) pairwise separate.
+func (f Forest) eachRelation(fn func(Relation)) {
+	for i, t := range f {
+		for a := 0; a < len(t.Regions); a++ {
+			for b := a + 1; b < len(t.Regions); b++ {
+				fn(Relation{A: t.Regions[a], B: t.Regions[b], Op: "≡"})
 			}
-			for _, kid := range t.Kids.AllRegions(nil) {
-				for _, top := range t.Regions {
-					out = append(out, Relation{A: kid, B: top, Op: "⪯"})
-				}
+		}
+		for _, kid := range t.Kids.AllRegions(nil) {
+			for _, top := range t.Regions {
+				fn(Relation{A: kid, B: top, Op: "⪯"})
 			}
-			for j := i + 1; j < len(f); j++ {
-				for _, a := range t.Kids.AllRegions(append([]solver.Region(nil), t.Regions...)) {
-					for _, b := range f[j].Kids.AllRegions(append([]solver.Region(nil), f[j].Regions...)) {
-						out = append(out, Relation{A: a, B: b, Op: "⋈"})
+		}
+		if i+1 < len(f) {
+			all := t.Kids.AllRegions(append([]solver.Region(nil), t.Regions...))
+			for _, u := range f[i+1:] {
+				other := u.Kids.AllRegions(append([]solver.Region(nil), u.Regions...))
+				for _, a := range all {
+					for _, b := range other {
+						fn(Relation{A: a, B: b, Op: "⋈"})
 					}
 				}
 			}
-			walk(t.Kids)
 		}
+		t.Kids.eachRelation(fn)
 	}
-	walk(f)
-	return out
 }
 
 // GeometricallyNecessary reports whether the relation holds in every
@@ -225,50 +255,6 @@ func GeometricallyNecessary(r Relation) bool {
 		return v.Enclosed == solver.Yes || v.Alias == solver.Yes
 	}
 	return false
-}
-
-// Relations returns the set R(M) of region relations encoded by the model,
-// as strings "a ≡ b", "a ⋈ b", "a ⪯ b" with operands in canonical order.
-// It is used by tests of Lemma 3.11 (completeness of insertion).
-func (f Forest) Relations() map[string]bool {
-	out := map[string]bool{}
-	var walk func(f Forest)
-	walk = func(f Forest) {
-		for i, t := range f {
-			// Aliasing within a node.
-			for a := 0; a < len(t.Regions); a++ {
-				for b := a + 1; b < len(t.Regions); b++ {
-					out[relKeyStr(t.Regions[a], t.Regions[b], "≡")] = true
-				}
-			}
-			// Children enclosed in parents (any top region).
-			for _, kid := range t.Kids.AllRegions(nil) {
-				for _, top := range t.Regions {
-					out[fmt.Sprintf("%s ⪯ %s", regionKey(kid), regionKey(top))] = true
-				}
-			}
-			// Siblings separate (all regions pairwise).
-			for j := i + 1; j < len(f); j++ {
-				for _, a := range append(append([]solver.Region{}, t.Regions...), t.Kids.AllRegions(nil)...) {
-					for _, b := range append(append([]solver.Region{}, f[j].Regions...), f[j].Kids.AllRegions(nil)...) {
-						out[relKeyStr(a, b, "⋈")] = true
-					}
-				}
-			}
-			// Sibling children within the same parent are separate.
-			walk(t.Kids)
-		}
-	}
-	walk(f)
-	return out
-}
-
-func relKeyStr(a, b solver.Region, op string) string {
-	ka, kb := regionKey(a), regionKey(b)
-	if ka > kb {
-		ka, kb = kb, ka
-	}
-	return fmt.Sprintf("%s %s %s", ka, op, kb)
 }
 
 // Holds implements Definition 3.9 for a concrete valuation: eval maps an

@@ -32,8 +32,8 @@ func Join(p, q *Pred, vid string, vars *JoinVars) *Pred {
 	// Presized: memory clauses survive only when both sides have them, and
 	// the interval clauses mostly carry over from the stored state q.
 	out := &Pred{
-		mem:    make(map[memKey]MemEntry, min(len(p.mem), len(q.mem))),
-		ranges: make(map[*expr.Expr]rangeInfo, len(q.ranges)),
+		mem:    newTable[memKey, MemEntry](min(len(p.mem.m), len(q.mem.m))),
+		ranges: newTable[*expr.Expr, rangeInfo](len(q.ranges.m)),
 	}
 
 	// Registers.
@@ -48,7 +48,7 @@ func Join(p, q *Pred, vid string, vars *JoinVars) *Pred {
 		}
 		out.regs[i] = e
 		if ri != nil {
-			out.ranges[e] = *ri
+			out.ranges.m[e] = *ri
 		}
 	}
 
@@ -61,8 +61,8 @@ func Join(p, q *Pred, vid string, vars *JoinVars) *Pred {
 	out.cmp = joinCmp(p, q, out)
 
 	// Memory clauses: a region survives only if both operands constrain it.
-	for k, pe := range p.mem {
-		qe, ok := q.mem[k]
+	for k, pe := range p.mem.m {
+		qe, ok := q.mem.m[k]
 		if !ok {
 			continue
 		}
@@ -71,20 +71,20 @@ func Join(p, q *Pred, vid string, vars *JoinVars) *Pred {
 		if !ok {
 			continue
 		}
-		out.mem[k] = MemEntry{Addr: pe.Addr, Size: pe.Size, Val: e}
+		out.mem.m[k] = MemEntry{Addr: pe.Addr, Size: pe.Size, Val: e}
 		if ri != nil {
-			out.ranges[e] = *ri
+			out.ranges.m[e] = *ri
 		}
 	}
 
 	// Interval clauses present in both sides: take the hull; widen away
 	// intervals that keep growing.
-	for k, pri := range p.ranges {
-		qri, ok := q.ranges[k]
+	for k, pri := range p.ranges.m {
+		qri, ok := q.ranges.m[k]
 		if !ok {
 			continue
 		}
-		if _, taken := out.ranges[k]; taken {
+		if _, taken := out.ranges.m[k]; taken {
 			continue // already produced by a join variable above
 		}
 		hull := Range{Lo: min(pri.r.Lo, qri.r.Lo), Hi: max(pri.r.Hi, qri.r.Hi)}
@@ -92,7 +92,7 @@ func Join(p, q *Pred, vid string, vars *JoinVars) *Pred {
 		if !ok || widened.Lo == 0 && widened.Hi == ^uint64(0) {
 			continue // dropped or vacuous
 		}
-		out.ranges[k] = rangeInfo{e: pri.e, r: widened, grows: grows}
+		out.ranges.m[k] = rangeInfo{e: pri.e, r: widened, grows: grows}
 	}
 	return out
 }
@@ -150,8 +150,8 @@ func joinValue(p, q *Pred, pe, qe, jv *expr.Expr) (*expr.Expr, *rangeInfo, bool)
 		// abstractions (a stored clause constrains them), in which case
 		// they are re-abstracted to this vertex's join variable so the
 		// surviving value can never outlive its interval clause.
-		_, pstored := p.ranges[pe]
-		_, qstored := q.ranges[pe]
+		_, pstored := p.ranges.m[pe]
+		_, qstored := q.ranges.m[pe]
 		if !pstored && !qstored {
 			return pe, nil, true
 		}
@@ -190,7 +190,7 @@ func sideRange(p *Pred, e, jv *expr.Expr) (rangeInfo, bool) {
 		// vertex) must not escalate this vertex's widening.
 		grows := 0
 		if e.Equal(jv) {
-			if ri, stored := p.ranges[e]; stored {
+			if ri, stored := p.ranges.m[e]; stored {
 				grows = ri.grows
 			}
 		}

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/expr"
 	"repro/internal/x86"
@@ -71,14 +72,51 @@ type memKey struct {
 	size int
 }
 
+// table is a copy-on-write clause table. Clone shares the table between
+// the original and the copy and marks it shared; from then on the first
+// mutation through either owner copies it (own). Both owners must copy,
+// because the semantics layer keeps mutating a state after forking a clone
+// off it. The mark is atomic: Step-2 workers clone one vertex state from
+// several goroutines at once. It is never cleared, so a table that was
+// shared once is copied by every later writer: at most one surplus copy.
+type table[K comparable, V any] struct {
+	m      map[K]V
+	shared atomic.Bool
+}
+
+func newTable[K comparable, V any](n int) *table[K, V] {
+	return &table[K, V]{m: make(map[K]V, n)}
+}
+
+// share marks the table shared and returns it.
+func (t *table[K, V]) share() *table[K, V] {
+	t.shared.Store(true)
+	return t
+}
+
+// own returns a table the owner *slot may mutate: the table itself, or a
+// private copy installed into slot when the table is shared.
+func own[K comparable, V any](slot **table[K, V]) map[K]V {
+	t := *slot
+	if !t.shared.Load() {
+		return t.m
+	}
+	c := newTable[K, V](len(t.m) + 1)
+	for k, v := range t.m {
+		c.m[k] = v
+	}
+	*slot = c
+	return c.m
+}
+
 // Pred is a predicate over concrete states.
 type Pred struct {
 	bot    bool
 	regs   [17]*expr.Expr // indexed by x86.Reg; nil = unconstrained
 	flags  [x86.NumFlags]*expr.Expr
 	cmp    *Cmp
-	mem    map[memKey]MemEntry
-	ranges map[*expr.Expr]rangeInfo
+	mem    *table[memKey, MemEntry]
+	ranges *table[*expr.Expr, rangeInfo]
 
 	// rkey/rfp cache RangesKey and RangesFingerprint; invalidated whenever
 	// the interval clause set mutates (AddRange). Both are immutable values,
@@ -139,8 +177,8 @@ func growHull(hull, prev Range, grows int) (Range, int, bool) {
 // New returns the predicate ⊤.
 func New() *Pred {
 	return &Pred{
-		mem:    map[memKey]MemEntry{},
-		ranges: map[*expr.Expr]rangeInfo{},
+		mem:    newTable[memKey, MemEntry](0),
+		ranges: newTable[*expr.Expr, rangeInfo](0),
 	}
 }
 
@@ -154,27 +192,23 @@ func Bot() *Pred {
 // IsBot reports whether the predicate is ⊥.
 func (p *Pred) IsBot() bool { return p.bot }
 
-// Clone returns a deep copy.
+// Clone returns a copy that behaves as a deep copy: the clause tables are
+// shared copy-on-write, so mutating either predicate leaves the other
+// unchanged. Several goroutines may clone one predicate at once, as long as
+// none of them mutates it.
 func (p *Pred) Clone() *Pred {
-	q := &Pred{
+	return &Pred{
 		bot:    p.bot,
 		regs:   p.regs,
 		flags:  p.flags,
 		cmp:    p.cmp,
-		mem:    make(map[memKey]MemEntry, len(p.mem)),
-		ranges: make(map[*expr.Expr]rangeInfo, len(p.ranges)),
+		mem:    p.mem.share(),
+		ranges: p.ranges.share(),
 		rkey:   p.rkey,
 		rkeyOK: p.rkeyOK,
 		rfp:    p.rfp,
 		rfpOK:  p.rfpOK,
 	}
-	for k, v := range p.mem {
-		q.mem[k] = v
-	}
-	for k, v := range p.ranges {
-		q.ranges[k] = v
-	}
-	return q
 }
 
 // Reg returns the constant expression the predicate assigns to the full
@@ -219,7 +253,7 @@ func (p *Pred) LastCmp() *Cmp { return p.cmp }
 
 // ReadMem returns the value clause for region [addr, size], if present.
 func (p *Pred) ReadMem(addr *expr.Expr, size int) (*expr.Expr, bool) {
-	e, ok := p.mem[memKey{addr, size}]
+	e, ok := p.mem.m[memKey{addr, size}]
 	if !ok {
 		return nil, false
 	}
@@ -228,20 +262,23 @@ func (p *Pred) ReadMem(addr *expr.Expr, size int) (*expr.Expr, bool) {
 
 // WriteMem installs the clause ∗[addr, size] = val.
 func (p *Pred) WriteMem(addr *expr.Expr, size int, val *expr.Expr) {
-	p.mem[memKey{addr, size}] = MemEntry{Addr: addr, Size: size, Val: val}
+	own(&p.mem)[memKey{addr, size}] = MemEntry{Addr: addr, Size: size, Val: val}
 }
 
 // DropMem removes the value clause for the exact region, if present.
 func (p *Pred) DropMem(addr *expr.Expr, size int) {
-	delete(p.mem, memKey{addr, size})
+	k := memKey{addr, size}
+	if _, ok := p.mem.m[k]; ok {
+		delete(own(&p.mem), k)
+	}
 }
 
 // MemEntries calls f for every memory clause in canonical order: sorted by
 // (address key, size), which coincides with the old "addrKey#size" string
 // order because '#' sorts below every character a key can contain.
 func (p *Pred) MemEntries(f func(MemEntry)) {
-	entries := make([]MemEntry, 0, len(p.mem))
-	for _, e := range p.mem {
+	entries := make([]MemEntry, 0, len(p.mem.m))
+	for _, e := range p.mem.m {
 		entries = append(entries, e)
 	}
 	sort.Slice(entries, func(i, j int) bool {
@@ -256,17 +293,23 @@ func (p *Pred) MemEntries(f func(MemEntry)) {
 	}
 }
 
-// FilterMem keeps only the memory clauses for which keep returns true.
+// FilterMem keeps only the memory clauses for which keep returns true. A
+// shared table is copied only when some clause is dropped.
 func (p *Pred) FilterMem(keep func(MemEntry) bool) {
-	for k, e := range p.mem {
-		if !keep(e) {
-			delete(p.mem, k)
+	var out map[memKey]MemEntry // the owned table, once something is dropped
+	for k, e := range p.mem.m {
+		if keep(e) {
+			continue
 		}
+		if out == nil {
+			out = own(&p.mem)
+		}
+		delete(out, k)
 	}
 }
 
 // NumMem returns the number of memory clauses.
-func (p *Pred) NumMem() int { return len(p.mem) }
+func (p *Pred) NumMem() int { return len(p.mem.m) }
 
 // AddRange installs (or narrows) the interval clause lo ≤ e ≤ hi. If e is a
 // constant word outside the interval, the predicate becomes ⊥. A clause on
@@ -290,7 +333,7 @@ func (p *Pred) AddRange(e *expr.Expr, r Range) {
 			return
 		}
 	}
-	if old, ok := p.ranges[e]; ok {
+	if old, ok := p.ranges.m[e]; ok {
 		// Intersect.
 		if r.Lo > old.r.Lo {
 			old.r.Lo = r.Lo
@@ -302,10 +345,10 @@ func (p *Pred) AddRange(e *expr.Expr, r Range) {
 			p.bot = true
 			return
 		}
-		p.ranges[e] = old
+		own(&p.ranges)[e] = old
 		return
 	}
-	p.ranges[e] = rangeInfo{e: e, r: r}
+	own(&p.ranges)[e] = rangeInfo{e: e, r: r}
 }
 
 // RangeOf computes an unsigned interval for e under the predicate's
@@ -317,7 +360,7 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	if w, ok := e.AsWord(); ok {
 		return Range{w, w}, true
 	}
-	if ri, ok := p.ranges[e]; ok {
+	if ri, ok := p.ranges.m[e]; ok {
 		return ri.r, true
 	}
 	if r, ok := intrinsicRange(e); ok {
@@ -335,7 +378,7 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 		if !ok {
 			return
 		}
-		ri, found := p.ranges[atom]
+		ri, found := p.ranges.m[atom]
 		if !found {
 			if ir, irOK := intrinsicRange(atom); irOK {
 				ri = rangeInfo{e: atom, r: ir}
@@ -368,7 +411,7 @@ func (p *Pred) RangeOf(e *expr.Expr) (Range, bool) {
 	// answer does not depend on map iteration order.
 	var best Range
 	found := false
-	for _, ri := range p.ranges {
+	for _, ri := range p.ranges.m {
 		lk := expr.ToLinear(ri.e)
 		scale, matches := linearRatio(l, lk)
 		if !matches || scale == 0 || scale > 1<<23 || ri.r.Hi > 1<<40 {
@@ -426,8 +469,8 @@ func intrinsicRange(e *expr.Expr) (Range, bool) {
 
 // sortedRanges returns the interval clauses in canonical key order.
 func (p *Pred) sortedRanges() []rangeInfo {
-	out := make([]rangeInfo, 0, len(p.ranges))
-	for _, ri := range p.ranges {
+	out := make([]rangeInfo, 0, len(p.ranges.m))
+	for _, ri := range p.ranges.m {
 		out = append(out, ri)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].e.Key() < out[j].e.Key() })
@@ -477,7 +520,7 @@ func (p *Pred) CodePointerParts(lo, hi uint64) []string {
 			part("", x86.Reg(i).String(), w)
 		}
 	}
-	for _, m := range p.mem {
+	for _, m := range p.mem.m {
 		if w, ok := m.Val.AsWord(); ok && w >= lo && w < hi {
 			part("m", m.Addr.Key(), w)
 		}
@@ -573,7 +616,7 @@ func (p *Pred) RangesFingerprint() uint64 {
 		return p.rfp
 	}
 	var h uint64
-	for e, ri := range p.ranges {
+	for e, ri := range p.ranges.m {
 		h += expr.MixFP(expr.MixFP(e.Fingerprint(), ri.r.Lo), ri.r.Hi)
 	}
 	p.rfp = h
@@ -606,16 +649,33 @@ func (p *Pred) Same(q *Pred) bool {
 			return false
 		}
 	}
-	if len(p.mem) != len(q.mem) || len(p.ranges) != len(q.ranges) {
+	return sameMem(p.mem, q.mem) && sameRanges(p.ranges, q.ranges)
+}
+
+func sameMem(p, q *table[memKey, MemEntry]) bool {
+	if p == q {
+		return true // shared by a clone: equal by construction
+	}
+	if len(p.m) != len(q.m) {
 		return false
 	}
-	for k, pe := range p.mem {
-		if qe, ok := q.mem[k]; !ok || pe.Val != qe.Val {
+	for k, pe := range p.m {
+		if qe, ok := q.m[k]; !ok || pe.Val != qe.Val {
 			return false
 		}
 	}
-	for e, pri := range p.ranges {
-		if qri, ok := q.ranges[e]; !ok || pri.r != qri.r {
+	return true
+}
+
+func sameRanges(p, q *table[*expr.Expr, rangeInfo]) bool {
+	if p == q {
+		return true
+	}
+	if len(p.m) != len(q.m) {
+		return false
+	}
+	for e, pri := range p.m {
+		if qri, ok := q.m[e]; !ok || pri.r != qri.r {
 			return false
 		}
 	}

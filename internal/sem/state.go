@@ -42,9 +42,11 @@ func InitialState(retSym expr.Var) *State {
 	return st
 }
 
-// Clone returns a deep copy of the state.
+// Clone returns a copy of the state; mutating either one leaves the other
+// unchanged. The predicate's clause tables are copy-on-write and the memory
+// model is immutable once built, so the copy shares both.
 func (s *State) Clone() *State {
-	return &State{Pred: s.Pred.Clone(), Mem: s.Mem.Clone()}
+	return &State{Pred: s.Pred.Clone(), Mem: s.Mem}
 }
 
 // Key returns the canonical fingerprint of the state (predicate and

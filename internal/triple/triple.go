@@ -301,7 +301,7 @@ func entailsWhy(post, inv *sem.State) (bool, string) {
 	// state (same-base constant offsets).
 	postRels := post.Mem.Relations()
 	for _, rel := range inv.Mem.RelationsDetailed() {
-		if postRels[rel.String()] {
+		if postRels[rel.Key()] {
 			continue
 		}
 		if memmodel.GeometricallyNecessary(rel) {
